@@ -41,13 +41,14 @@
 //!   without touching an evaluator at all.
 //! * [`serve_tcp`] — an optional length-prefixed TCP front over
 //!   `std::net`, with [`TcpClient`] as the matching blocking client. The
-//!   listener is a single **non-blocking poll loop**: a stalled client is
-//!   timed out and aborted mid-frame instead of parking a server thread,
-//!   and a plain-text `STATS` frame exposes live counters. A cluster shard
-//!   node registers its identity via [`ServeOptions::manifest`], served to
-//!   `HELLO` requests; [`TcpClient`] carries connect/read/write timeouts
-//!   and a [`TcpClient::reconnect`] path so a dead peer can never block a
-//!   caller indefinitely — the building blocks of the `rambo-cluster`
+//!   listener is a single non-blocking **readiness reactor** that blocks
+//!   in `ppoll(2)` between passes: a stalled client is aborted mid-frame
+//!   instead of parking a server thread, and a plain-text `STATS` frame
+//!   exposes live counters. A cluster shard node registers its identity
+//!   via [`ServeOptions::manifest`], served to `HELLO` requests;
+//!   [`TcpClient`] carries connect/read/write timeouts and a
+//!   [`TcpClient::reconnect`] path so a dead peer can never block a caller
+//!   indefinitely — the building blocks of the `rambo-cluster`
 //!   coordinator's connection pools.
 //!
 //! Every tier evaluator probes through the runtime-dispatched SIMD kernels
@@ -80,7 +81,9 @@
 //! assert_eq!(stats.total_completed(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
+// One scoped, audited exception: the reactor's `ppoll(2)` call (see the
+// `sys` module in `tcp.rs`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

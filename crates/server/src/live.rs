@@ -28,9 +28,8 @@ use crate::cache::ResultCache;
 use crate::server::ServerConfig;
 use crate::tcp::{
     conn_flush, conn_read, encode_mutate_ok, encode_mutate_rejected, encode_response, parse_mutate,
-    parse_request, Conn, PendingFrame, ServeOptions, MAX_FRAME_BYTES, MAX_PIPELINED, OPCODE_HELLO,
-    OPCODE_MUTATE, OPCODE_STATS, REACTOR_BUSY_SLEEP, REACTOR_IDLE_SLEEP, STATUS_BAD_REQUEST,
-    STATUS_OK,
+    parse_request, run_reactor, Conn, PendingFrame, ServeOptions, MAX_FRAME_BYTES, MAX_PIPELINED,
+    OPCODE_HELLO, OPCODE_MUTATE, OPCODE_STATS, STATUS_BAD_REQUEST, STATUS_OK,
 };
 use rambo_core::{
     canonical_query_key, DocId, GenerationalIndex, QueryContext, QueryMode, RamboError, RamboParams,
@@ -463,44 +462,17 @@ pub fn serve_live_tcp(
     stop: &AtomicBool,
     options: &ServeOptions,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut conns: Vec<Conn> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if let Ok(conn) = Conn::new(stream) {
-                        conns.push(conn);
-                        progress = true;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    stop.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-        }
-        for conn in &mut conns {
-            progress |= pump_live(conn, handle, options);
-        }
-        conns.retain(|c| !c.dead);
-        if !progress {
-            let inflight = conns.iter().any(|c| !c.pending.is_empty());
-            std::thread::sleep(if inflight {
-                REACTOR_BUSY_SLEEP
-            } else {
-                REACTOR_IDLE_SLEEP
-            });
-        }
-    }
-    Ok(())
+    run_reactor(
+        &[&listener],
+        stop,
+        |_, conn| pump_live(conn, handle, options),
+        || false,
+    )
 }
 
 /// One reactor pass over a live-server connection. Mirrors the catalog
-/// front's `pump`, minus reply polling: live dispatch answers immediately.
+/// front's `pump`, minus collecting worker replies: live dispatch answers
+/// immediately.
 fn pump_live(conn: &mut Conn, handle: &LiveHandle<'_>, options: &ServeOptions) -> bool {
     let mut progress = conn_read(conn);
     if conn.dead {

@@ -54,21 +54,21 @@
 //! sharing its connection plumbing. Binary `QUERY`/`MUTATE` frames carry
 //! no tenant name, so they are routed to the configured
 //! [`TenantServeOptions::binary_tenant`]; `STATS` dumps the registry
-//! summary. Poll ticks with no I/O run one step of generation-merge
-//! maintenance across the registry instead of napping, so background index
-//! upkeep rides the serving thread's idle gaps.
+//! summary. Reactor passes with no I/O run one step of generation-merge
+//! maintenance across the registry before the loop waits for readiness, so
+//! background index upkeep rides the serving thread's idle gaps.
 
 use crate::tcp::{
     conn_flush, conn_read, encode_mutate_ok, encode_mutate_rejected, encode_response, parse_mutate,
-    parse_request, Conn, MAX_FRAME_BYTES, OPCODE_HELLO, OPCODE_MUTATE, OPCODE_STATS,
-    REACTOR_BUSY_SLEEP, REACTOR_IDLE_SLEEP, STATUS_BAD_REQUEST, STATUS_OK,
+    parse_request, run_reactor, Conn, MAX_FRAME_BYTES, OPCODE_HELLO, OPCODE_MUTATE, OPCODE_STATS,
+    STATUS_BAD_REQUEST, STATUS_OK,
 };
 use crate::tenant::{TenantKind, TenantOptions, TenantRegistry};
 use rambo_core::{RamboError, RamboParams};
 use rambo_hash::murmur3_x64_64;
 use std::io;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 /// Most array elements accepted in one command.
 const MAX_ARGS: usize = 1 << 10;
@@ -525,17 +525,12 @@ pub struct TenantServeOptions {
     pub binary_tenant: Option<String>,
 }
 
-/// Which protocol a connection speaks, fixed by the listener it arrived on.
-enum Front {
-    Resp,
-    Binary,
-}
-
 /// Serve a [`TenantRegistry`] until `stop` is set: the RESP front on
 /// `resp_listener` and, when given, the existing binary frame protocol on
 /// `binary_listener`, both multiplexed by one non-blocking readiness
-/// reactor on the calling thread. Idle poll ticks run one step of
-/// generation-merge maintenance across the registry instead of sleeping.
+/// reactor on the calling thread. A pass with no I/O runs one step of
+/// generation-merge maintenance across the registry before the reactor
+/// waits for readiness.
 ///
 /// # Errors
 /// Propagates listener configuration errors and fatal accept failures (which
@@ -547,79 +542,19 @@ pub fn serve_tenant_tcp(
     stop: &AtomicBool,
     options: &TenantServeOptions,
 ) -> io::Result<()> {
-    resp_listener.set_nonblocking(true)?;
-    if let Some(l) = &binary_listener {
-        l.set_nonblocking(true)?;
-    }
-    let mut conns: Vec<(Front, Conn)> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-        match accept_into(&resp_listener, &mut conns, Front::Resp) {
-            Ok(p) => progress |= p,
-            Err(e) => {
-                stop.store(true, Ordering::Relaxed);
-                return Err(e);
-            }
-        }
-        if let Some(l) = &binary_listener {
-            match accept_into(l, &mut conns, Front::Binary) {
-                Ok(p) => progress |= p,
-                Err(e) => {
-                    stop.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-        }
-        for (front, conn) in &mut conns {
-            progress |= match front {
-                Front::Resp => pump_resp(conn, registry),
-                Front::Binary => pump_binary(conn, registry, options),
-            };
-        }
-        conns.retain(|(_, c)| !c.dead);
-        if !progress {
-            // Nothing on the wire: spend the tick on index upkeep. A merge
-            // counts as progress, so a busy registry keeps the loop hot.
-            if registry.maintain_once() {
-                continue;
-            }
-            let inflight = conns.iter().any(|(_, c)| !c.outbuf.is_empty());
-            std::thread::sleep(if inflight {
-                REACTOR_BUSY_SLEEP
-            } else {
-                REACTOR_IDLE_SLEEP
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Drain one listener's accept backlog into the connection list.
-fn accept_into(
-    listener: &TcpListener,
-    conns: &mut Vec<(Front, Conn)>,
-    front: Front,
-) -> io::Result<bool> {
-    let mut progress = false;
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if let Ok(conn) = Conn::new(stream) {
-                    conns.push((
-                        match front {
-                            Front::Resp => Front::Resp,
-                            Front::Binary => Front::Binary,
-                        },
-                        conn,
-                    ));
-                    progress = true;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(progress),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+    let mut listeners = vec![&resp_listener];
+    listeners.extend(binary_listener.as_ref());
+    run_reactor(
+        &listeners,
+        stop,
+        |origin, conn| match origin {
+            0 => pump_resp(conn, registry),
+            _ => pump_binary(conn, registry, options),
+        },
+        // Nothing on the wire: spend the pass on one step of index upkeep.
+        // A merge counts as work, so a busy registry keeps the loop hot.
+        || registry.maintain_once(),
+    )
 }
 
 /// One reactor pass over a RESP connection: commands are executed the

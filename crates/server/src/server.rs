@@ -709,8 +709,11 @@ impl<'env> ServerHandle<'env> {
                 .iter()
                 .enumerate()
                 .map(|(t, lane)| {
-                    lane.counters
-                        .snapshot(self.catalog.info(t), self.catalog.block_cache_stats(t))
+                    lane.counters.snapshot(
+                        self.catalog.info(t),
+                        lane.gate.queued.load(Ordering::Acquire),
+                        self.catalog.block_cache_stats(t),
+                    )
                 })
                 .collect(),
             slow_queries: self.slow.snapshot(),
@@ -843,7 +846,13 @@ impl Server {
             tiers: counters
                 .iter()
                 .enumerate()
-                .map(|(t, c)| c.snapshot(catalog.info(t), catalog.block_cache_stats(t)))
+                .map(|(t, c)| {
+                    c.snapshot(
+                        catalog.info(t),
+                        gates[t].queued.load(Ordering::Acquire),
+                        catalog.block_cache_stats(t),
+                    )
+                })
                 .collect(),
             slow_queries: slow.snapshot(),
             cache: cache.as_ref().map(ResultCache::stats),

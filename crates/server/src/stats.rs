@@ -84,6 +84,7 @@ impl TierCounters {
     pub(crate) fn snapshot(
         &self,
         info: &TierInfo,
+        queue_depth: u64,
         block_cache: Option<BlockCacheSnapshot>,
     ) -> TierStats {
         let batches = self.batches.load(Ordering::Relaxed);
@@ -109,6 +110,7 @@ impl TierCounters {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             switched_to_batch: self.switched_to_batch.load(Ordering::Relaxed),
             switched_to_inline: self.switched_to_inline.load(Ordering::Relaxed),
+            queue_depth,
             max_queue_depth: self.queue_depth_max.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             mean: self.latency.mean(),
@@ -153,6 +155,9 @@ pub struct TierStats {
     pub switched_to_batch: u64,
     /// Batch→inline scheduler transitions.
     pub switched_to_inline: u64,
+    /// Requests admitted to the queue and not yet taken by a worker, at
+    /// snapshot time.
+    pub queue_depth: u64,
     /// Highest instantaneous queue depth observed at admission.
     pub max_queue_depth: u64,
     /// Total documents returned.

@@ -36,13 +36,27 @@
 //! thread-per-connection accept loop: every socket is non-blocking, and one
 //! thread multiplexes accepts, frame decode, admission (through the same
 //! [`ServerHandle`] the in-process API uses — quiet lanes answer inline
-//! during the dispatch call itself), reply polling
+//! during the dispatch call itself), collection of worker-queued replies
 //! ([`crate::PendingReply::try_wait`]) and writes across all connections.
 //! Thousands of idle clients cost a few hundred bytes of buffer each, not a
 //! pinned thread. Replies on one connection always flow in request order.
 //! When `stop` is raised the reactor returns promptly, dropping every
 //! connection — including ones stalled mid-frame, which therefore cannot
 //! block shutdown.
+//!
+//! The same loop (`run_reactor`) drives all three fronts — this catalog
+//! front, the live front ([`crate::serve_live_tcp`]) and the multi-tenant
+//! front ([`crate::serve_tenant_tcp`]); they differ only in their listeners,
+//! their per-connection pump and an optional idle hook. A pass accepts,
+//! pumps every connection and, when nothing moved, blocks in `ppoll(2)` on
+//! the listeners plus each connection's *interest*: readable while the pump
+//! would read (not half-closed, closing or over the pipeline and frame
+//! caps), writable while encoded bytes are unsent, and no descriptor at all
+//! when it wants neither — so a half-closed or closing peer can never wake
+//! the loop. The wait's timeout is 50 µs while a worker-queued reply is in
+//! flight (the one event that is not a socket) and 1 ms otherwise, the
+//! cadence for the stop flag and the idle hook. Off Linux the wait sleeps
+//! its timeout.
 
 use crate::server::{PendingReply, QueryOptions, QueryReply, ServerError, ServerHandle};
 use rambo_core::QueryMode;
@@ -73,13 +87,14 @@ pub(crate) const STATUS_BAD_REQUEST: u8 = 3;
 /// desynchronized, so the connection stays open.
 pub(crate) const STATUS_MUTATE_REJECTED: u8 = 5;
 
-/// Reactor nap with replies in flight: short, so a worker's answer is
-/// picked up within ~a batch collection window.
-pub(crate) const REACTOR_BUSY_SLEEP: Duration = Duration::from_micros(50);
-/// Reactor nap with nothing in flight: the stop-flag/accept poll cadence.
-pub(crate) const REACTOR_IDLE_SLEEP: Duration = Duration::from_millis(1);
+/// Readiness-wait timeout with a worker-queued reply in flight: short, so a
+/// worker's answer is picked up within ~a batch collection window.
+const REACTOR_BUSY_WAIT: Duration = Duration::from_micros(50);
+/// Readiness-wait timeout with nothing in flight: the cadence at which the
+/// stop flag and the idle hook are checked.
+const REACTOR_IDLE_WAIT: Duration = Duration::from_millis(1);
 /// Per-read chunk size.
-pub(crate) const READ_CHUNK: usize = 16 << 10;
+const READ_CHUNK: usize = 16 << 10;
 /// Per-connection cap on decoded-but-unanswered frames: a client that
 /// pipelines faster than the server drains stops being read (TCP
 /// backpressure) instead of growing an unbounded reply queue.
@@ -129,6 +144,21 @@ impl Conn {
             dead: false,
         })
     }
+
+    /// The pump would read from the socket: not half-closed, closing or
+    /// dead, and under the pipeline and frame-size caps.
+    fn wants_read(&self) -> bool {
+        !self.read_closed
+            && !self.closing
+            && !self.dead
+            && self.pending.len() < MAX_PIPELINED
+            && self.inbuf.len() < MAX_FRAME_BYTES + 4
+    }
+
+    /// Encoded reply bytes are waiting for the socket to take them.
+    fn wants_write(&self) -> bool {
+        self.sent < self.outbuf.len()
+    }
 }
 
 /// Shared read phase of every reactor pump (catalog, live and tenant
@@ -137,31 +167,21 @@ impl Conn {
 /// the connection dead on hard I/O errors. Returns whether bytes moved.
 pub(crate) fn conn_read(conn: &mut Conn) -> bool {
     let mut progress = false;
-    while !conn.read_closed
-        && !conn.closing
-        && !conn.dead
-        && conn.pending.len() < MAX_PIPELINED
-        && conn.inbuf.len() < MAX_FRAME_BYTES + 4
-    {
-        let start = conn.inbuf.len();
-        conn.inbuf.resize(start + READ_CHUNK, 0);
-        match conn.stream.read(&mut conn.inbuf[start..]) {
-            Ok(0) => {
-                conn.inbuf.truncate(start);
-                conn.read_closed = true;
-            }
+    // One zeroed stack chunk per call, copied out by the bytes read. Growing
+    // `inbuf` by a zeroed chunk per attempt is an element-wise fill in
+    // unoptimized builds, which dominated an idle pass there.
+    let mut chunk = [0u8; READ_CHUNK];
+    while conn.wants_read() {
+        match conn.stream.read(&mut chunk) {
+            Ok(0) => conn.read_closed = true,
             Ok(n) => {
-                conn.inbuf.truncate(start + n);
+                conn.inbuf.extend_from_slice(&chunk[..n]);
                 progress = true;
                 continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.inbuf.truncate(start),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                conn.inbuf.truncate(start);
-                continue;
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                conn.inbuf.truncate(start);
                 conn.dead = true;
                 return progress;
             }
@@ -177,7 +197,7 @@ pub(crate) fn conn_read(conn: &mut Conn) -> bool {
 /// half-closed peer. Returns whether bytes moved.
 pub(crate) fn conn_flush(conn: &mut Conn) -> bool {
     let mut progress = false;
-    while conn.sent < conn.outbuf.len() {
+    while conn.wants_write() {
         match conn.stream.write(&conn.outbuf[conn.sent..]) {
             Ok(0) => {
                 conn.dead = true;
@@ -247,41 +267,209 @@ pub fn serve_tcp_with(
     stop: &AtomicBool,
     options: &ServeOptions,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut conns: Vec<Conn> = Vec::new();
+    run_reactor(
+        &[&listener],
+        stop,
+        |_, conn| pump(conn, handle, options),
+        || false,
+    )
+}
+
+/// The one reactor loop behind every TCP front. Each pass accepts on every
+/// listener, runs `pump` over every connection (with the index of the
+/// listener it arrived on) and drops the dead ones. A pass that moved
+/// nothing runs `idle` — upkeep that reports whether it did any work — and,
+/// if that did nothing either, blocks until a socket is ready or the
+/// timeout passes (see the module docs). Returns once `stop` is observed.
+///
+/// # Errors
+/// Listener configuration errors, and fatal accept failures, which also
+/// raise `stop`.
+pub(crate) fn run_reactor(
+    listeners: &[&TcpListener],
+    stop: &AtomicBool,
+    mut pump: impl FnMut(usize, &mut Conn) -> bool,
+    mut idle: impl FnMut() -> bool,
+) -> io::Result<()> {
+    for listener in listeners {
+        listener.set_nonblocking(true)?;
+    }
+    let mut conns: Vec<(usize, Conn)> = Vec::new();
+    let mut fds = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         let mut progress = false;
-        // Drain the accept backlog.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if let Ok(conn) = Conn::new(stream) {
-                        conns.push(conn);
-                        progress = true;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+        for (origin, listener) in listeners.iter().enumerate() {
+            match accept_all(listener, origin, &mut conns) {
+                Ok(accepted) => progress |= accepted,
                 Err(e) => {
                     stop.store(true, Ordering::Relaxed);
                     return Err(e);
                 }
             }
         }
-        for conn in &mut conns {
-            progress |= pump(conn, handle, options);
+        for (origin, conn) in &mut conns {
+            progress |= pump(*origin, conn);
         }
-        conns.retain(|c| !c.dead);
-        if !progress {
-            let inflight = conns.iter().any(|c| !c.pending.is_empty());
-            std::thread::sleep(if inflight {
-                REACTOR_BUSY_SLEEP
-            } else {
-                REACTOR_IDLE_SLEEP
-            });
+        conns.retain(|(_, c)| !c.dead);
+        if progress || idle() {
+            continue;
         }
+        let inflight = conns.iter().any(|(_, c)| !c.pending.is_empty());
+        let timeout = if inflight {
+            REACTOR_BUSY_WAIT
+        } else {
+            REACTOR_IDLE_WAIT
+        };
+        wait_ready(listeners, conns.iter().map(|(_, c)| c), timeout, &mut fds);
     }
     Ok(())
+}
+
+/// Drain one listener's accept backlog into the connection list, tagging
+/// each connection with the listener's index. Returns whether any arrived.
+fn accept_all(
+    listener: &TcpListener,
+    origin: usize,
+    conns: &mut Vec<(usize, Conn)>,
+) -> io::Result<bool> {
+    let mut accepted = false;
+    loop {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if let Ok(conn) = Conn::new(stream) {
+                    conns.push((origin, conn));
+                    accepted = true;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(accepted),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Block until a listener has a connection to accept, a connection's
+/// interest is ready, or `timeout` passes. `fds` is scratch reused across
+/// passes.
+fn wait_ready<'a>(
+    listeners: &[&TcpListener],
+    conns: impl Iterator<Item = &'a Conn>,
+    timeout: Duration,
+    fds: &mut Vec<sys::PollFd>,
+) {
+    fds.clear();
+    fds.extend(listeners.iter().map(|l| sys::PollFd::new(*l, true, false)));
+    fds.extend(conns.map(|c| sys::PollFd::new(&c.stream, c.wants_read(), c.wants_write())));
+    sys::wait(fds, timeout);
+}
+
+#[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
+mod sys {
+    //! The readiness wait: `ppoll(2)` through the C library std already
+    //! links.
+    //!
+    //! Unsafe policy: this module holds the crate's only unsafe code, one
+    //! foreign call. [`PollFd`] mirrors C's `struct pollfd` and its fields
+    //! stay private, so safe code can only build entries the kernel
+    //! accepts; the call's safety argument sits inline.
+
+    use std::io;
+    use std::os::fd::AsRawFd;
+    use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
+    use std::time::Duration;
+
+    const POLLIN: c_short = 0x001;
+    const POLLOUT: c_short = 0x004;
+
+    /// One `struct pollfd`: a descriptor and the events waited for.
+    #[repr(C)]
+    pub(crate) struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    /// `struct timespec` as glibc's `ppoll` symbol takes it (`time_t` and
+    /// the nanosecond field are both `long` there).
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    extern "C" {
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+
+    impl PollFd {
+        /// Wait on `socket` for the given directions. With neither the
+        /// entry holds descriptor -1, which the kernel skips — not even
+        /// hang-up or error is reported for it.
+        pub(crate) fn new(socket: &impl AsRawFd, read: bool, write: bool) -> Self {
+            let events = if read { POLLIN } else { 0 } | if write { POLLOUT } else { 0 };
+            Self {
+                fd: if events == 0 { -1 } else { socket.as_raw_fd() },
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    /// Block until an entry is ready or `timeout` passes. A signal ends
+    /// the wait early; any other failure sleeps the timeout instead, so
+    /// the caller's loop degrades to a nap rather than a spin.
+    pub(crate) fn wait(fds: &mut [PollFd], timeout: Duration) {
+        let ts = Timespec {
+            tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
+            // Below 10^9, so it fits a 32-bit `long` too.
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        // SAFETY: `fds` is an exclusively borrowed slice of `fds.len()`
+        // initialized `repr(C)` entries laid out as `struct pollfd`, and
+        // the kernel writes only their `revents` fields; `usize` and
+        // `unsigned long` have the same width on Linux, so `nfds` is
+        // exact. `ts` is a valid timespec (`tv_nsec` < 10^9) that lives
+        // across the call and is only read. A null `sigmask` leaves the
+        // signal mask unchanged. Descriptors need no liveness argument:
+        // a closed one is reported as POLLNVAL, never dereferenced.
+        let rc = unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                &ts,
+                std::ptr::null(),
+            )
+        };
+        if rc < 0 && io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+            std::thread::sleep(timeout);
+        }
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod sys {
+    //! The readiness wait off Linux: sleep the timeout (the loop's only
+    //! readiness signal there is its next pass).
+
+    use std::time::Duration;
+
+    pub(crate) struct PollFd;
+
+    impl PollFd {
+        pub(crate) fn new<S>(_socket: &S, _read: bool, _write: bool) -> Self {
+            Self
+        }
+    }
+
+    pub(crate) fn wait(_fds: &mut [PollFd], timeout: Duration) {
+        std::thread::sleep(timeout);
+    }
 }
 
 /// One reactor pass over a connection: read what is available, decode and
@@ -895,5 +1083,76 @@ impl TcpClient {
         let mut payload = vec![0u8; len];
         self.stream.read_exact(&mut payload)?;
         Ok(payload)
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// A server-side connection and the client end of the same socket.
+    fn pair() -> (TcpListener, Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (listener, Conn::new(server).unwrap(), client)
+    }
+
+    /// Time one readiness wait over `listeners` and `conns`.
+    fn timed_wait(listeners: &[&TcpListener], conns: &[&Conn], timeout: Duration) -> Duration {
+        let start = Instant::now();
+        wait_ready(listeners, conns.iter().copied(), timeout, &mut Vec::new());
+        start.elapsed()
+    }
+
+    #[test]
+    fn a_readable_byte_wakes_the_wait() {
+        let (_listener, conn, mut client) = pair();
+        client.write_all(b"x").unwrap();
+        let waited = timed_wait(&[], &[&conn], Duration::from_secs(10));
+        assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+    }
+
+    #[test]
+    fn unsent_output_wakes_the_wait() {
+        let (_listener, mut conn, _client) = pair();
+        conn.outbuf.extend_from_slice(b"reply");
+        let waited = timed_wait(&[], &[&conn], Duration::from_secs(10));
+        assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+    }
+
+    #[test]
+    fn a_closed_peer_with_read_closed_set_does_not_wake_the_wait() {
+        let (_listener, mut conn, client) = pair();
+        drop(client);
+        // The socket reads EOF at once, so polling it for input would
+        // return immediately: the connection must not be polled at all.
+        conn.read_closed = true;
+        let timeout = Duration::from_millis(200);
+        let waited = timed_wait(&[], &[&conn], timeout);
+        assert!(waited >= timeout, "woke early after {waited:?}");
+    }
+
+    #[test]
+    fn a_closing_connection_does_not_wake_the_wait() {
+        let (_listener, mut conn, mut client) = pair();
+        client.write_all(b"unread").unwrap();
+        conn.closing = true;
+        let timeout = Duration::from_millis(200);
+        let waited = timed_wait(&[], &[&conn], timeout);
+        assert!(waited >= timeout, "woke early after {waited:?}");
+    }
+
+    #[test]
+    fn an_incoming_connect_wakes_the_wait() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|s| {
+            let client = s.spawn(move || TcpStream::connect(addr).unwrap());
+            let waited = timed_wait(&[&listener], &[], Duration::from_secs(10));
+            assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+            client.join().unwrap();
+        });
     }
 }

@@ -30,7 +30,7 @@
 //! runs at most one pending generation merge — planned under a read lock,
 //! folded off-lock, installed under a brief validated write lock. The
 //! RESP/binary reactor ([`crate::serve_tenant_tcp`]) calls it whenever a
-//! poll tick has no I/O to do, so merge work rides the serving thread's
+//! pass has no I/O to do, so merge work rides the serving thread's
 //! idle gaps instead of needing a dedicated thread per tenant.
 
 use crate::cache::{CacheStats, ResultCache};

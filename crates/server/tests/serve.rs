@@ -33,6 +33,20 @@ fn build_index(buckets: u64, k: usize, seed: u64) -> Rambo {
     r
 }
 
+/// Block until `condition` holds: the latch the choreographed tests use to
+/// know another thread reached a given state, instead of sleeping and
+/// hoping it did. Panics after a minute naming what never happened.
+fn wait_for(what: &str, condition: impl Fn() -> bool) {
+    let give_up = std::time::Instant::now() + Duration::from_secs(60);
+    while !condition() {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "timed out waiting for {what}"
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// A mixed query load: one present term per covered document, plus absent
 /// probes.
 fn query_load(k: usize) -> Vec<Vec<u64>> {
@@ -187,17 +201,24 @@ fn overload_rejects_when_the_queue_is_full() {
         scheduler: SchedulerMode::AlwaysBatch,
         ..ServerConfig::default()
     };
+    // Deadlines far beyond any evaluation: on a loaded host the probes
+    // queue behind a long slow evaluation and must not expire there.
+    let patient = QueryOptions {
+        deadline: Duration::from_secs(60),
+        ..QueryOptions::default()
+    };
     let ((accepted, rejected), stats) = Server::scope(&catalog, config, |handle| {
-        let mut pending = vec![handle
-            .submit(&slow_terms, &QueryOptions::default())
-            .unwrap()];
-        // Let the worker dequeue the slow query and start evaluating (the
-        // sleep must end well inside the tens-of-ms evaluation).
-        std::thread::sleep(Duration::from_millis(5));
+        let mut pending = vec![handle.submit(&slow_terms, &patient).unwrap()];
+        // Latch: the queue empties only when the worker takes the slow
+        // query, and with `max_batch: 1` it then evaluates it before
+        // dequeuing anything else.
+        wait_for("the worker to take the slow query", || {
+            handle.stats().tiers[0].queue_depth == 0
+        });
         let mut rejected = 0usize;
         // The worker is mid-evaluation: the queue holds 2, the rest bounce.
         for i in 0..6u64 {
-            match handle.submit(&[i], &QueryOptions::default()) {
+            match handle.submit(&[i], &patient) {
                 Ok(p) => pending.push(p),
                 Err(ServerError::Overloaded { tier: 0 }) => rejected += 1,
                 Err(e) => panic!("unexpected error: {e}"),
@@ -410,7 +431,11 @@ fn adaptive_scheduler_switches_to_batching_under_load() {
             s.spawn(move || {
                 handle_a.query(slow, 0.0, Duration::from_secs(30)).unwrap();
             });
-            std::thread::sleep(Duration::from_millis(5));
+            // Latch: an inline admission counts as accepted only once it
+            // holds the inline evaluator, which it keeps while evaluating.
+            wait_for("thread A to hold the inline evaluator", || {
+                handle.stats().tiers[0].accepted == 1
+            });
             // Contended admissions fall through to the queue. The first is
             // another slow query so the worker stays busy while the fast
             // ones stack up past the threshold.
