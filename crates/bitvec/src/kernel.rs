@@ -396,8 +396,9 @@ impl Kernel {
 /// `dst[i] &= rows[0][i] & rows[1][i] & … & rows[N-1][i]` for every word,
 /// fused into one pass; returns `true` if any bit of `dst` remains set.
 ///
-/// `N` is a compile-time constant (the probe loop uses 1, 2, 3 and 4), so
-/// the inner reduction unrolls completely and the whole body vectorizes.
+/// `N` is a compile-time constant (the dense probe ANDs a whole group of 32
+/// rows per call, `BitVec::and_assign` one), so the inner reduction unrolls
+/// completely and the whole body vectorizes.
 /// Dispatches to the process-wide [`Backend`] (see the [module docs](self));
 /// use [`Kernel::forced`] to pin one explicitly.
 ///

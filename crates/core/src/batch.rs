@@ -413,6 +413,14 @@ impl MaskCache {
 /// cheaper than a re-probe anyway). Use [`QueryBatch::with_mask_capacity`]
 /// to tune the entry count directly.
 ///
+/// The memo only pays when terms repeat across queries: overlapping
+/// sequence windows, or many clients asking for the same k-mers, which is
+/// why the server's micro-batching workers evaluate through it. On terms
+/// that never repeat every query is a miss that probes all of its terms
+/// (no early exit on a dead mask), then inserts and evicts each one; a
+/// 120-term read on a 69 MB, `B = 8` index cost 4–5× a direct
+/// [`Rambo::query_terms_with`] that way. Evaluate one-off queries directly.
+///
 /// ```
 /// use rambo_core::{QueryBatch, QueryMode, Rambo, RamboParams};
 ///

@@ -707,12 +707,9 @@ fn full_union(
     for rep in 0..params.repetitions {
         let rep_pairs = &pairs[rep * n_terms..(rep + 1) * n_terms];
         mask.set_all();
-        'probe: for (i, pair) in rep_pairs.iter().enumerate() {
-            // Duplicate hash pairs AND idempotently — skip, matching the
-            // monolith's `probe_all_into` dedup.
-            if rep_pairs[..i].contains(pair) {
-                continue;
-            }
+        // Duplicate hash pairs AND idempotently, so they are not filtered
+        // out (the monolith's `probe_all_into` does the same).
+        'probe: for pair in rep_pairs {
             for j in 0..eta {
                 let p = pair.index(j, m) as usize;
                 or_row.fill(0);

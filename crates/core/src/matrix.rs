@@ -10,10 +10,11 @@
 //! applied across buckets. This is what makes RAMBO's `O(√K)` probe phase
 //! beat COBS's `O(K)` row scan in practice and not just asymptotically.
 //!
-//! The probe itself runs through the fused kernels of
-//! [`rambo_bitvec::kernel`]: up to four probed rows are ANDed into the
-//! bucket mask per pass (duplicate query terms deduplicated first), and the
-//! table is abandoned the moment the running mask goes all-zero. The kernels
+//! A query's probe is DRAM-latency-bound, so it loads its rows in groups of
+//! [`PROBE_GROUP`] back to back (their cache misses overlap), ANDs each
+//! group into the bucket mask through the fused kernels of
+//! [`rambo_bitvec::kernel`] (or in a register when a row is one word), and
+//! abandons the table the moment the running mask goes all-zero. The kernels
 //! are runtime-dispatched ([`rambo_bitvec::kernel::Backend`]): the probe,
 //! the repetition-intersection walk and the bit-sliced column fills all pick
 //! up the AVX2 variants on hosts that support them, with no change here. The word
@@ -43,7 +44,7 @@ const HEADER_BYTES: usize = 4 + 8 + 8 + 1;
 /// Storage backend behind one repetition's bit payload.
 ///
 /// * `Dense` — row-major words, owned or a zero-copy view; the probe fast
-///   path (staged 4-row fused AND) runs only here.
+///   path (grouped loads, one fused AND per group) runs only here.
 /// * `Rrr` — RRR-compressed rows for cold tiers; probes decode the touched
 ///   rows block-wise into dense scratch words.
 /// * `Paged` — dense rows left on disk, faulted in row-aligned blocks
@@ -278,13 +279,26 @@ impl BfuMatrix {
     /// written into `mask` (a `B`-bit vector). This is the whole per-table
     /// probe phase of Algorithm 2.
     ///
-    /// Three optimizations over the row-at-a-time loop:
-    /// * duplicate [`HashPair`]s (a term repeated across the query) are
-    ///   probed once;
-    /// * up to four rows are fused into each pass over the mask
-    ///   ([`BitVec::and_rows_any`]), keeping the running mask in registers;
-    /// * the table is abandoned the moment the mask goes all-zero — AND can
-    ///   only clear bits, so the remaining rows cannot change the answer.
+    /// A query's rows are random reads into a matrix far larger than the
+    /// cache, so the probe is bound by DRAM latency, not by the AND. On the
+    /// dense store the kernel therefore works in groups of [`PROBE_GROUP`]
+    /// rows, taken in term order (a term's `eta` rows may straddle two
+    /// groups):
+    /// * every row offset of the group is computed first, then the rows are
+    ///   loaded back to back, so their cache misses overlap instead of
+    ///   serializing behind a liveness test;
+    /// * single-word rows (`B ≤ 64`) are ANDed into a register; wider rows
+    ///   go through the fused [`BitVec::and_rows_any`] kernel, which ANDs
+    ///   the whole group per word of the mask;
+    /// * the mask is tested once per group, and the table is abandoned the
+    ///   moment it goes all-zero — AND can only clear bits, so the remaining
+    ///   rows cannot change the answer.
+    ///
+    /// Duplicate terms are not filtered out: AND is idempotent, so a
+    /// repeated term costs one extra (usually cached) read, which is cheaper
+    /// than a duplicate scan over the query. The RRR and paged stores AND
+    /// row at a time with a liveness test per row, since decoding or
+    /// faulting a row costs far more than a DRAM miss.
     pub(crate) fn probe_all_into(&self, pairs: &[HashPair], eta: u32, mask: &mut BitVec) {
         debug_assert_eq!(mask.len(), self.buckets);
         // set_all keeps the tail bits beyond B zeroed (BitVec invariant), and
@@ -293,83 +307,47 @@ impl BfuMatrix {
         mask.set_all();
         let m = self.m_bits as u64;
         let rw = self.row_words;
+        let rows = pairs
+            .iter()
+            .flat_map(|pair| (0..eta).map(move |j| pair.index(j, m) as usize));
         let words = match &self.store {
             MatrixStore::Dense(ws) => ws.as_words(),
             MatrixStore::Rrr(rrr) => {
                 // Cold tier: decode each probed row block-wise into scratch
-                // and AND it straight into the mask, with the same
-                // dedup + dead-mask early exit as the dense path.
+                // and AND it straight into the mask.
                 let mut scratch = vec![0u64; rw];
-                for (i, pair) in pairs.iter().enumerate() {
-                    if pairs[..i].contains(pair) {
-                        continue;
-                    }
-                    for j in 0..eta {
-                        rrr.decode_row_into(pair.index(j, m) as usize, &mut scratch);
-                        if !mask.and_words_any(&scratch) {
-                            return;
-                        }
+                for p in rows {
+                    rrr.decode_row_into(p, &mut scratch);
+                    if !mask.and_words_any(&scratch) {
+                        return;
                     }
                 }
                 return;
             }
             MatrixStore::Paged(pw) => {
-                // Paged tier: each probed row is one in-page slice; the
-                // fault cost dominates, so no 4-row staging here.
-                for (i, pair) in pairs.iter().enumerate() {
-                    if pairs[..i].contains(pair) {
-                        continue;
-                    }
-                    for j in 0..eta {
-                        let row = pw.read(pair.index(j, m) as usize * rw, rw);
-                        if !mask.and_words_any(&row) {
-                            return;
-                        }
+                // Paged tier: each probed row is one in-page slice.
+                for p in rows {
+                    if !mask.and_words_any(&pw.read(p * rw, rw)) {
+                        return;
                     }
                 }
                 return;
             }
         };
-        let mut staged = [0usize; 4];
+        let mut offs = [0usize; PROBE_GROUP];
         let mut n = 0;
-        for (i, pair) in pairs.iter().enumerate() {
-            if pairs[..i].contains(pair) {
-                continue; // duplicate term: same rows, AND is idempotent
-            }
-            for j in 0..eta {
-                staged[n] = pair.index(j, m) as usize * rw;
-                n += 1;
-                if n == 4 {
-                    n = 0;
-                    if !mask.and_rows_any([
-                        &words[staged[0]..staged[0] + rw],
-                        &words[staged[1]..staged[1] + rw],
-                        &words[staged[2]..staged[2] + rw],
-                        &words[staged[3]..staged[3] + rw],
-                    ]) {
-                        return; // mask is dead; nothing can revive it
-                    }
+        for p in rows {
+            offs[n] = p * rw;
+            n += 1;
+            if n == PROBE_GROUP {
+                n = 0;
+                if !and_row_group(words, rw, &offs, mask) {
+                    return; // mask is dead; nothing can revive it
                 }
             }
         }
-        match n {
-            1 => {
-                mask.and_rows_any([&words[staged[0]..staged[0] + rw]]);
-            }
-            2 => {
-                mask.and_rows_any([
-                    &words[staged[0]..staged[0] + rw],
-                    &words[staged[1]..staged[1] + rw],
-                ]);
-            }
-            3 => {
-                mask.and_rows_any([
-                    &words[staged[0]..staged[0] + rw],
-                    &words[staged[1]..staged[1] + rw],
-                    &words[staged[2]..staged[2] + rw],
-                ]);
-            }
-            _ => {}
+        if n > 0 {
+            and_row_group(words, rw, &offs[..n], mask);
         }
     }
 
@@ -875,6 +853,29 @@ impl BfuMatrix {
     }
 }
 
+/// Rows one dense probe group loads back to back before testing the mask
+/// (see [`BfuMatrix::probe_all_into`]). Enough independent loads to keep a
+/// core's outstanding-miss slots busy; small enough that a mask dying in
+/// the first group wastes little.
+const PROBE_GROUP: usize = 32;
+
+/// AND the rows at word offsets `offs` (1 to [`PROBE_GROUP`] of them) into
+/// `mask`, returning `true` if any bit survives.
+#[inline]
+fn and_row_group(words: &[u64], rw: usize, offs: &[usize], mask: &mut BitVec) -> bool {
+    if rw == 1 {
+        let row = offs.iter().fold(!0u64, |acc, &o| acc & words[o]);
+        return mask.and_words_any(&[row]);
+    }
+    // A short group is padded with its last row: AND is idempotent, and a
+    // fixed arity keeps the fused kernel fully unrolled.
+    let last = offs.len() - 1;
+    mask.and_rows_any::<PROBE_GROUP>(std::array::from_fn(|k| {
+        let o = offs[k.min(last)];
+        &words[o..o + rw]
+    }))
+}
+
 /// Zero bits at positions `>= len` in the final word of a row.
 fn mask_tail(row: &mut [u64], len: usize) {
     let tail = len % 64;
@@ -888,6 +889,7 @@ fn mask_tail(row: &mut [u64], len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pair(t: u64) -> HashPair {
         HashPair::of_u64(t, 99)
@@ -925,9 +927,9 @@ mod tests {
         }
     }
 
-    /// The fused/staged kernel path must agree with per-bucket probes for
-    /// every pair-count arity (1..=5 pairs × η rows exercises every
-    /// remainder branch of the 4-row staging loop).
+    /// The grouped kernel path must agree with per-bucket probes for small
+    /// pair counts (1..=5 pairs × η from 1 to 5: single short groups of up
+    /// to 25 rows).
     #[test]
     fn probe_all_arity_sweep() {
         let mut m = BfuMatrix::new(1 << 12, 70);
@@ -955,7 +957,7 @@ mod tests {
     }
 
     /// Duplicate pairs (a term repeated across the query) must not change
-    /// the result — they are deduplicated before the kernel loop.
+    /// the result — AND is idempotent, so re-reading their rows is harmless.
     #[test]
     fn probe_all_dedupes_repeated_pairs() {
         let mut m = BfuMatrix::new(1 << 12, 66);
@@ -971,6 +973,114 @@ mod tests {
             &mut duped,
         );
         assert_eq!(plain, duped);
+    }
+
+    /// Column counts covering single-word rows (8, 64) and multi-word rows
+    /// whose last word is partial (65, 130).
+    const PARITY_BUCKETS: [usize; 4] = [8, 64, 65, 130];
+    /// Query sizes around the probe group: empty, one term, one group short,
+    /// exact and one over at η = 1, and a partial fourth group.
+    const PARITY_TERMS: [usize; 6] = [
+        0,
+        1,
+        PROBE_GROUP - 1,
+        PROBE_GROUP,
+        PROBE_GROUP + 1,
+        3 * PROBE_GROUP + 1,
+    ];
+
+    /// The same matrix behind all three stores: dense, RRR-compressed, and
+    /// paged from a file.
+    fn parity_stores(dense: &BfuMatrix, tag: u64) -> [BfuMatrix; 3] {
+        let mut rrr = dense.clone();
+        rrr.compress_rrr();
+        let mut buf = Vec::new();
+        dense.encode_into(&mut buf);
+        let path = std::env::temp_dir().join(format!(
+            "rambo-probe-parity-{}-{tag}.bfm",
+            std::process::id()
+        ));
+        std::fs::write(&path, &buf).unwrap();
+        let file = PagedFile::open(&path, 1 << 20).unwrap();
+        let counters = Arc::new(BlockCacheCounters::new());
+        let paged = BfuMatrix::decode_paged(&file, &mut 0, &counters).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(rrr.is_compressed() && paged.is_paged());
+        [dense.clone(), rrr, paged]
+    }
+
+    proptest! {
+        /// The kernel equals the per-bucket reference on every store, for
+        /// every column width in [`PARITY_BUCKETS`], η from 1 to 8, every
+        /// query size in [`PARITY_TERMS`], with duplicated terms, and with
+        /// a mask that dies in the first or in the last group.
+        #[test]
+        fn probe_all_equals_probe_bucket_on_every_store(
+            seed in any::<u64>(),
+            noise in 0u64..24,
+            dup_every in 0usize..6,
+        ) {
+            let target_terms = (3 * PROBE_GROUP + 1) as u64;
+            let mut tag = 0;
+            for buckets in PARITY_BUCKETS {
+                for eta in 1..=8u32 {
+                    // Bucket 0 holds every query term (so an undisturbed
+                    // query keeps a live mask through its last group);
+                    // the other buckets hold seeded noise.
+                    let mut dense = BfuMatrix::new(2048, buckets);
+                    let p = |t: u64| HashPair::of_u64(t, seed);
+                    for t in 0..target_terms {
+                        dense.insert(0, p(t), eta);
+                    }
+                    for b in 1..buckets {
+                        for i in 0..noise {
+                            dense.insert(b, p((b as u64) << 32 | i), eta);
+                        }
+                    }
+                    // A term no bucket holds: it kills the mask.
+                    let absent = (1u64 << 62..)
+                        .map(p)
+                        .find(|&a| (0..buckets).all(|b| !dense.probe_bucket(b, &[a], eta)))
+                        .unwrap();
+                    tag += 1;
+                    let stores = parity_stores(&dense, tag);
+                    let mut mask = BitVec::zeros(buckets);
+                    for n in PARITY_TERMS {
+                        let mut base: Vec<HashPair> = (0..n as u64).map(p).collect();
+                        if dup_every > 0 {
+                            for i in (0..base.len()).step_by(dup_every).rev() {
+                                base.insert(i, base[i]);
+                            }
+                        }
+                        let mut first = base.clone();
+                        let mut last = base.clone();
+                        if n > 0 {
+                            first[0] = absent;
+                            *last.last_mut().unwrap() = absent;
+                        }
+                        for pairs in [&base, &first, &last] {
+                            let want: Vec<bool> = (0..buckets)
+                                .map(|b| dense.probe_bucket(b, pairs, eta))
+                                .collect();
+                            for (store, kind) in stores.iter().zip(["dense", "rrr", "paged"]) {
+                                store.probe_all_into(pairs, eta, &mut mask);
+                                let got: Vec<bool> = (0..buckets).map(|b| mask.get(b)).collect();
+                                prop_assert_eq!(
+                                    &got, &want,
+                                    "B {} eta {} terms {} store {}",
+                                    buckets, eta, pairs.len(), kind
+                                );
+                                // Tail bits past B stay clear (BitVec invariant).
+                                prop_assert_eq!(mask.count_ones(), got.iter().filter(|&&x| x).count());
+                            }
+                        }
+                        // The undisturbed query keeps bucket 0 alive, so the
+                        // `last` variant really dies in its final group.
+                        prop_assert!(n == 0 || dense.probe_bucket(0, &base, eta));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!   bucket-mask memo and the query scratch amortize across concurrent
 //!   clients — sequence workloads share most terms between adjacent
 //!   requests. Hysteresis (a quiet-streak plus a live-traffic cooldown)
-//!   keeps the gate from thrashing; both paths share one evaluator, so
-//!   results are bit-identical either way. Backpressure is explicit
+//!   keeps the gate from thrashing. Inline evaluation skips the memo and
+//!   probes directly ([`rambo_core::Rambo::query_terms_with`]); both paths
+//!   return bit-identical results. Backpressure is explicit
 //!   ([`ServerError::Overloaded`]), deadlines are enforced on both sides
 //!   of the queue, and shutdown is structural: leaving [`Server::scope`]
 //!   drains and joins everything, returning a final [`ServerStats`]

@@ -5,7 +5,7 @@
 //! current scheduling mode. Under low load the admission path bypasses the
 //! queue entirely (see `ServerHandle::submit` — the request is evaluated
 //! inline on the admitting thread); the gate flips to batching when the
-//! inline evaluator is found locked (contention is proof of concurrent
+//! inline scratch context is found locked (contention is proof of concurrent
 //! admissions, and inline serializes on that lock anyway), when two
 //! *different* threads admit inline requests within
 //! [`INLINE_OVERLAP_WINDOW`] (on a single-core host serialized execution

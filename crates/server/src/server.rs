@@ -19,13 +19,18 @@
 //! wake-up and a reply channel costs more than just evaluating it. The
 //! scheduler therefore tracks each lane's instantaneous queue depth: while
 //! the lane is quiet, [`ServerHandle::submit`] evaluates the request
-//! **inline on the admitting thread** against the tier's shared evaluator
-//! (same code path, bit-identical results) and returns an already-resolved
-//! [`PendingReply`]. When admission finds the queued depth at or above
-//! `batch_above` (or inline-lock contention proves concurrent admissions)
-//! the lane flips to batching; a worker flips it back only after a
-//! sustained streak of quiet batches *and* a cooldown with no fresh proof
-//! of concurrency (hysteresis, so the gate does not flap on every request).
+//! **inline on the admitting thread** with
+//! [`rambo_core::Rambo::query_terms_with`] over the tier's shared scratch
+//! context, and returns an already-resolved [`PendingReply`]. The inline
+//! path skips the workers' per-term mask memo: a lone client's terms rarely
+//! repeat, so a memo miss — probe every term, then insert and evict it —
+//! costs more than the direct probe, which stops at the first dead mask. Both paths return the same bits (the memo is
+//! property-tested equal to the direct evaluation). When admission finds
+//! the queued depth at or above `batch_above` (or inline-lock contention
+//! proves concurrent admissions) the lane flips to batching; a worker
+//! flips it back only after a sustained streak of quiet batches *and* a
+//! cooldown with no fresh proof of concurrency (hysteresis, so the gate
+//! does not flap on every request).
 //! [`SchedulerMode::AlwaysBatch`] pins the old behavior for comparison
 //! benchmarks.
 
@@ -34,7 +39,7 @@ use crate::catalog::Catalog;
 use crate::scheduler::{run_worker, BatchKnobs, LaneGate, Reply, Request, INLINE_OVERLAP_WINDOW};
 use crate::stats::{ServerStats, SlowQuery, SlowQueryLog, TierCounters};
 use rambo_core::{
-    canonical_query_key, default_threads, DocId, GenerationConfig, QueryBatch, QueryMode,
+    canonical_query_key, default_threads, DocId, GenerationConfig, QueryContext, QueryMode,
 };
 use rambo_workloads::stats::LatencyHistogram;
 use std::fmt;
@@ -93,12 +98,14 @@ pub struct ServerConfig {
     pub default_mode: QueryMode,
     /// Inline-bypass vs batching policy (see [`SchedulerMode`]).
     pub scheduler: SchedulerMode,
-    /// Capacity, in resident terms, of each evaluator's per-term bucket-mask
+    /// Capacity, in resident terms, of each worker's per-term bucket-mask
     /// memo: `None` uses the engine default (an LLC-sized byte budget, see
     /// [`rambo_core::QueryBatch::new`]); `Some(n)` pins it (clamped to at
     /// least 1, where the memo degenerates to per-request evaluation — the
     /// `serve_load` bench's one-at-a-time arm, and the right setting for
-    /// memory-constrained deployments that would rather re-probe).
+    /// memory-constrained deployments that would rather re-probe). Only the
+    /// micro-batch workers keep a memo; inline evaluation on a quiet lane
+    /// probes directly (see [`ServerHandle::submit`]).
     pub mask_memo_terms: Option<usize>,
     /// Byte budget of the hot-query result cache; `0` disables it.
     pub result_cache_bytes: usize,
@@ -410,9 +417,9 @@ struct Lane<'env> {
     tx: SyncSender<Request>,
     counters: &'env TierCounters,
     gate: &'env LaneGate,
-    /// The tier's shared inline evaluator. `try_lock` contention simply
+    /// The tier's shared inline scratch. `try_lock` contention simply
     /// falls through to the queue — the bypass must never block admission.
-    inline: &'env Mutex<QueryBatch<'env>>,
+    inline: &'env Mutex<QueryContext>,
 }
 
 /// A nonzero identity for the calling thread, cheap enough for the admission
@@ -450,7 +457,8 @@ impl<'env> ServerHandle<'env> {
     /// Submit a query without blocking for its answer.
     ///
     /// Under the adaptive scheduler a quiet lane evaluates the query inline
-    /// (or answers it from the result cache) and returns an
+    /// with [`rambo_core::Rambo::query_terms_with`], skipping the workers'
+    /// mask memo (or answers it from the result cache), and returns an
     /// already-resolved [`PendingReply`]; a busy lane stages it through the
     /// micro-batch queue.
     ///
@@ -515,7 +523,7 @@ impl<'env> ServerHandle<'env> {
             // while batching it refreshes the liveness stamp, so a lane
             // with two live clients never drifts back to inline on quiet
             // singleton batches alone, only to flip again two requests
-            // later through a cold inline evaluator.
+            // later.
             let token = admit_token();
             let now_ns = self.epoch.elapsed().as_nanos() as u64;
             let prev_token = lane.gate.last_admit_token.swap(token, Ordering::AcqRel);
@@ -534,7 +542,7 @@ impl<'env> ServerHandle<'env> {
                         .switched_to_batch
                         .fetch_add(1, Ordering::Relaxed);
                 }
-            } else if let Ok(mut evaluator) = lane.inline.try_lock() {
+            } else if let Ok(mut ctx) = lane.inline.try_lock() {
                 lane.counters.accepted.fetch_add(1, Ordering::Relaxed);
                 if Instant::now() >= deadline {
                     lane.counters.expired.fetch_add(1, Ordering::Relaxed);
@@ -545,8 +553,11 @@ impl<'env> ServerHandle<'env> {
                     ));
                 }
                 let eval_start = Instant::now();
-                let docs = evaluator.query_terms(terms, mode);
-                drop(evaluator);
+                let docs = self
+                    .catalog
+                    .tier(tier)
+                    .query_terms_with(terms, mode, &mut ctx);
+                drop(ctx);
                 let eval = eval_start.elapsed();
                 let total = submitted.elapsed();
                 lane.counters
@@ -765,18 +776,14 @@ impl Server {
                 SchedulerMode::AlwaysBatch => 0,
             },
         };
-        let make_evaluator = |index| match config.mask_memo_terms {
-            None => QueryBatch::new(index),
-            Some(n) => QueryBatch::with_mask_capacity(index, n),
-        };
         let counters: Vec<TierCounters> = (0..catalog.len()).map(|_| TierCounters::new()).collect();
         // Always-batch lanes start (and stay) gated closed; adaptive lanes
         // start open for inline bypass.
         let gates: Vec<LaneGate> = (0..catalog.len())
             .map(|_| LaneGate::new(matches!(config.scheduler, SchedulerMode::AlwaysBatch)))
             .collect();
-        let inline_evaluators: Vec<Mutex<QueryBatch<'_>>> = (0..catalog.len())
-            .map(|t| Mutex::new(make_evaluator(catalog.tier(t))))
+        let inline_contexts: Vec<Mutex<QueryContext>> = (0..catalog.len())
+            .map(|_| Mutex::new(QueryContext::new()))
             .collect();
         let cache =
             (config.result_cache_bytes > 0).then(|| ResultCache::new(config.result_cache_bytes));
@@ -819,7 +826,7 @@ impl Server {
                 catalog,
                 lanes: intakes
                     .into_iter()
-                    .zip(counters.iter().zip(gates.iter().zip(&inline_evaluators)))
+                    .zip(counters.iter().zip(gates.iter().zip(&inline_contexts)))
                     .map(|(tx, (counters, (gate, inline)))| Lane {
                         tx,
                         counters,

@@ -2,7 +2,7 @@
 //! evaluation, tier routing, batching, backpressure, deadlines, the TCP
 //! front, and clean shutdown accounting.
 
-use rambo_core::{QueryContext, QueryMode, Rambo, RamboParams};
+use rambo_core::{DocId, QueryContext, QueryMode, Rambo, RamboParams};
 use rambo_server::{
     serve_tcp, Catalog, QueryOptions, SchedulerMode, Server, ServerConfig, ServerError, TcpClient,
     TcpClientError,
@@ -400,6 +400,91 @@ fn inline_path_is_bit_identical_to_batched_path() {
     assert_eq!(inline_stats.total_batches(), 0);
     assert_eq!(batched_stats.total_inline(), 0, "always-batch went inline");
     assert_eq!(batched_stats.total_completed(), total);
+}
+
+/// Never-repeated 120-term read windows over documents of 600 packed
+/// k-mers each: three windows drawn from a document, one whose last term
+/// no document holds (the probe's mask dies in its final group), and one
+/// straddling two documents. No term appears in two windows, so neither the
+/// result cache nor a mask memo ever sees a repeat.
+fn read_windows(docs: usize) -> Vec<Vec<u64>> {
+    const W: u64 = 120;
+    let kmer = |d: usize, i: u64| ((d as u64) << 24) | i;
+    let mut windows = Vec::new();
+    for d in 0..docs {
+        windows.extend((0..3).map(|w| (w * W..(w + 1) * W).map(|i| kmer(d, i)).collect()));
+        let mut dying: Vec<u64> = (3 * W..4 * W).map(|i| kmer(d, i)).collect();
+        *dying.last_mut().unwrap() = 0xDEAD_0000_0000 + d as u64;
+        windows.push(dying);
+        let next = (d + 1) % docs;
+        windows.push(
+            (4 * W..4 * W + W / 2)
+                .map(|i| kmer(d, i))
+                .chain((4 * W + W / 2..5 * W).map(|i| kmer(next, i)))
+                .collect(),
+        );
+    }
+    windows
+}
+
+#[test]
+fn quiet_lane_reads_match_direct_and_memo_evaluation() {
+    let mut index = Rambo::new(RamboParams::flat(128, 3, 1 << 14, 2, 21)).unwrap();
+    let docs = 24;
+    for d in 0..docs {
+        let kmers = (0..600u64).map(|i| ((d as u64) << 24) | i);
+        index.insert_document(&format!("doc-{d}"), kmers).unwrap();
+    }
+    // Tiers of 128, 64 and 32 buckets: two-word and single-word rows.
+    let catalog = Catalog::build_halving(&index, 2).unwrap();
+    let windows = read_windows(docs);
+    for mode in [QueryMode::Full, QueryMode::Sparse] {
+        let mut ctx = QueryContext::new();
+        let direct: Vec<Vec<DocId>> = windows
+            .iter()
+            .flat_map(|w| (0..catalog.len()).map(move |t| (t, w)))
+            .map(|(t, w)| catalog.tier(t).query_terms_with(w, mode, &mut ctx))
+            .collect();
+        assert!(direct.iter().any(|docs| !docs.is_empty()));
+        assert!(direct.iter().any(Vec::is_empty));
+        for cache_bytes in [0, 1 << 20] {
+            // One client on the default adaptive scheduler keeps the lane
+            // quiet (inline); the always-batch server evaluates every read
+            // through a worker's mask memo.
+            let run = |scheduler: SchedulerMode| {
+                let config = ServerConfig {
+                    workers_per_tier: 1,
+                    scheduler,
+                    default_mode: mode,
+                    result_cache_bytes: cache_bytes,
+                    ..ServerConfig::default()
+                };
+                Server::scope(&catalog, config, |handle| {
+                    windows
+                        .iter()
+                        .flat_map(|w| (0..catalog.len()).map(move |t| (t, w)))
+                        .map(|(t, w)| {
+                            let opts = QueryOptions {
+                                tier: Some(t),
+                                deadline: Duration::from_secs(60),
+                                ..QueryOptions::default()
+                            };
+                            handle.query_opts(w, &opts).unwrap().docs
+                        })
+                        .collect::<Vec<_>>()
+                })
+            };
+            let label = format!("{mode:?}, cache {cache_bytes} B");
+            let (inline_docs, inline_stats) = run(SchedulerMode::default());
+            let (memo_docs, memo_stats) = run(SchedulerMode::AlwaysBatch);
+            assert_eq!(inline_docs, direct, "quiet lane vs direct ({label})");
+            assert_eq!(memo_docs, direct, "memo path vs direct ({label})");
+            for tier in &inline_stats.tiers {
+                assert!(tier.inline_completed > 0, "tier {} ({label})", tier.tier);
+            }
+            assert_eq!(memo_stats.total_inline(), 0, "always-batch went inline");
+        }
+    }
 }
 
 #[test]

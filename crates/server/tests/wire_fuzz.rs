@@ -405,7 +405,10 @@ fn half_open_clients_do_not_block_shutdown() {
         });
         let mut staller = TestClient::connect(addr).unwrap();
         staller.send(b"*3\r\n$4\r\nPING\r\n").unwrap();
-        std::thread::sleep(Duration::from_millis(30));
+        // Latch: the reactor pumps connections in accept order, and the
+        // staller's bytes sat in its socket before this probe connected, so
+        // the probe's +PONG proves a pass has read the half frame.
+        assert_resp_alive(addr);
         stop.store(true, Ordering::Relaxed);
         server.join().unwrap().unwrap();
     });
